@@ -19,14 +19,20 @@ decides how the coroutine's awaits actually execute:
 
 * :class:`AsyncRuntime` is the event-loop mode behind
   :class:`~repro.core.async_store.AsyncBlobStore`.  ``run_batches`` yields
-  to the loop before executing (so thousands of gathered operations
-  genuinely interleave without a single pool thread), ``start`` spawns an
-  ``asyncio.Task`` (the write path overlaps its metadata publish with the
-  page stores this way), ``gather`` fans sub-traversals out concurrently
-  (the read path pipelines level N+1 frontier fetches while level N's
-  slower buckets resolve), and ``vm_sync`` turns the version manager's
-  blocking condition-variable wait into a publish-notification wait that
-  never parks a thread.
+  to the loop once before executing (so thousands of gathered operations
+  genuinely interleave without a single pool thread) and then runs the
+  batch's per-backend jobs inline, one after another: a job that cannot
+  suspend gains nothing from a Task of its own.  Jobs that can suspend —
+  a wired retry policy backs off on the loop — go through
+  ``gather_batches`` instead, so concurrent backoffs overlap.  ``start``
+  spawns an ``asyncio.Task`` (the write path overlaps its metadata
+  publish with the page stores, the read path its speculative prefetch
+  with the level fetch this way), and ``vm_sync`` turns the version
+  manager's blocking condition-variable wait into a publish-notification
+  wait that never parks a thread.
+
+Both runtimes drive the same level-order metadata walk: one batched fetch
+per tree level, whichever runtime executes it.
 
 The legacy ``run_batches=`` keyword of the sync component APIs (a callable
 receiving zero-arg SYNC jobs) is preserved: :meth:`SyncRuntime.run_batches`
@@ -106,12 +112,14 @@ class SyncRuntime:
     hold directly: the optional legacy ``run_batches`` hook and the lazy
     ``parallel_io`` thread pool (one persistent pool per runtime — spinning
     a fresh pool per batch would put thread create/join cycles on the hot
-    path).  ``pipelined`` is False: the level-by-level traversal and the
-    store-then-publish write order — and therefore every trip counter —
-    stay exactly as they were before the async core existed.
+    path).  ``concurrent`` is False: :meth:`start` finishes its coroutine
+    before returning, so no background work can overlap an awaited fetch
+    — the store-then-publish write order stays exactly as it was before
+    the async core existed, and speculative prefetch (which only pays when
+    it overlaps) stays off.
     """
 
-    pipelined = False
+    concurrent = False
 
     def __init__(
         self,
@@ -140,6 +148,10 @@ class SyncRuntime:
             [lambda job=job: run_sync(job()) for job in jobs]
         )
 
+    async def gather_batches(self, jobs: list) -> list:
+        # Nothing suspends under this runtime, so there is nothing to overlap.
+        return await self.run_batches(jobs)
+
     async def retry_call(self, retry, attempt, on_failure=None):
         # The policy's own injected clock sleeps (blocking), preserving the
         # deterministic fakes tests wire in.
@@ -150,9 +162,6 @@ class SyncRuntime:
         """Run *coro* eagerly to completion; errors raise here, at the exact
         point the pre-async code would have raised them."""
         return SyncHandle(run_sync(coro))
-
-    async def gather(self, *coros: Coroutine):
-        return [run_sync(coro) for coro in coros]
 
     async def sleep(self, seconds: float) -> None:
         if seconds > 0:
@@ -184,24 +193,31 @@ class SyncRuntime:
 class AsyncRuntime:
     """Event-loop runtime: awaits suspend, operations interleave, no pool.
 
-    ``pipelined`` is True: the engine switches its metadata traversal to the
-    bucket-grouped recursive descent (level N+1 fetches start while level N
-    resolves) and overlaps the write path's batched ``put_nodes`` publish
-    with the page stores.
+    ``concurrent`` is True: :meth:`start` returns while its Task runs, so
+    the write path overlaps its batched ``put_nodes`` publish with the page
+    stores and the opt-in speculative prefetch (DESIGN.md §9) overlaps the
+    next level's lookup with the current level's fetch.
     """
 
-    pipelined = True
+    concurrent = True
 
     async def run_batches(self, jobs: list) -> list:
-        # Yield to the loop BEFORE touching the backends: every concurrent
-        # operation parks here once, so 10k gathered reads are all in
-        # flight before the first one completes — cooperative concurrency
-        # where the thread pool capped out at hundreds.
+        """Run one batch of per-backend jobs that never suspend.
+
+        Yields to the loop BEFORE touching the backends: every concurrent
+        operation parks here once, so 10k gathered reads are all in flight
+        before the first one completes — cooperative concurrency where the
+        thread pool capped out at hundreds.  After that single yield the
+        jobs run inline in order: each finishes in one step, and a Task per
+        job would only add scheduling and garbage-collection work.
+        """
         await asyncio.sleep(0)
-        if not jobs:
-            return []
-        if len(jobs) == 1:
-            return [await jobs[0]()]
+        return [await job() for job in jobs]
+
+    async def gather_batches(self, jobs: list) -> list:
+        """:meth:`run_batches` for jobs that can park on the loop (retry
+        backoff): they run as gathered Tasks, so their waits overlap."""
+        await asyncio.sleep(0)
         return list(await asyncio.gather(*(job() for job in jobs)))
 
     async def retry_call(self, retry, attempt, on_failure=None):
@@ -211,11 +227,6 @@ class AsyncRuntime:
 
     def start(self, coro: Coroutine) -> TaskHandle:
         return TaskHandle(asyncio.ensure_future(coro))
-
-    async def gather(self, *coros: Coroutine):
-        if not coros:
-            return []
-        return list(await asyncio.gather(*coros))
 
     async def sleep(self, seconds: float) -> None:
         await asyncio.sleep(seconds)
@@ -320,9 +331,10 @@ async def dispatch_jobs(
 
         return job
 
-    return await runtime.run_batches(
-        [make_job(endpoint_id, batch) for endpoint_id, batch in groups]
-    )
+    jobs = [make_job(endpoint_id, batch) for endpoint_id, batch in groups]
+    if retry is not None and not retry.is_noop:
+        return await runtime.gather_batches(jobs)
+    return await runtime.run_batches(jobs)
 
 
 __all__ = [

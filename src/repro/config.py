@@ -164,14 +164,14 @@ class BlobSeerConfig:
         ``vm_lease_ttl=None`` disables version leasing for the whole
         deployment (every read pays its version-manager round trips).
     speculative_prefetch:
-        When True, the pipelined metadata descent predicts the child spans
-        of a missed frontier node from the requested byte range's geometry
-        and issues their DHT multi-get *before* the authoritative parent
+        When True, the event-loop read walk predicts the child spans of a
+        missed frontier node from the requested byte range's geometry and
+        issues their DHT multi-get *before* the authoritative parent
         returns (DESIGN.md §9).  Speculation never changes the bytes read
         or the authoritative counters; over-fetch is reported via
         ``ReadStats.speculative_wasted``.  Off by default — the sync
-        level-by-level walk ignores the knob, and async==sync counter
-        equality is only guaranteed with it off.
+        runtime ignores the knob (nothing can overlap there), and
+        async==sync counter equality is only guaranteed with it off.
     replica_routing:
         When True (the default), replicated reads rank the replica set
         before fetching instead of always starting at replica 0: locally

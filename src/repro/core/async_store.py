@@ -7,18 +7,17 @@ class (see :mod:`repro.aio`), so planning, caching, replication, retry and
 trip accounting exist exactly once.  Which of the two execution modes runs
 underneath is decided by the injected :class:`~repro.aio.IORuntime`:
 
-* under :class:`~repro.aio.SyncRuntime` no awaitable ever suspends, the
-  traversal stays strictly level-by-level and the write path stores pages
-  before publishing metadata — the pre-async behaviour, timing and counters,
-  bit for bit;
+* under :class:`~repro.aio.SyncRuntime` no awaitable ever suspends and
+  the write path stores pages before publishing metadata — the pre-async
+  behaviour, timing and counters, bit for bit;
 
 * under :class:`~repro.aio.AsyncRuntime` (the default) the store exploits
   the event loop where the old thread pool could not:
 
-  - READ *pipelines* the metadata tree descent: one frontier's fetches are
-    grouped by DHT bucket and each group expands its children — and issues
-    their level-N+1 fetches — the moment it lands, while the level's slower
-    buckets are still in flight (``_pipelined_walk``);
+  - READ yields to the loop once per batched call, so many reads
+    interleave; with the opt-in ``speculative_prefetch`` it also overlaps
+    each tree level's fetch with a background lookup of the next level
+    (``_speculate``);
   - WRITE *overlaps* the batched ``put_nodes`` publish with the page
     stores: descriptors are built optimistically from the allocated replica
     sets, the publish task starts while pages are still landing, and the
@@ -28,7 +27,10 @@ underneath is decided by the injected :class:`~repro.aio.IORuntime`:
     thousands of operations stay concurrently in flight in one process
     with zero per-operation threads.
 
-Both modes produce identical bytes and identical ``ReadStats`` /
+Both modes walk the metadata tree the same way — level by level, one
+batched DHT multi-get per level with cache misses (``_fetch_frontier``
+under :func:`~repro.metadata.read_plan.adrive_plan`) — and produce
+identical bytes and identical ``ReadStats`` /
 ``WriteResult`` trip counters on healthy clusters (the equivalence property
 in ``tests/test_async_store.py`` asserts this across random histories);
 the only intentional divergence is the degraded-write reconciliation trip,
@@ -59,9 +61,10 @@ from ..cache import (
 )
 from ..errors import InvalidRangeError, StoreClosedError, UpdateAbortedError
 from ..metadata.build import BorderSpec, border_plan, border_targets, build_nodes
-from ..metadata.geometry import pages_for_size, span_for_pages, validate_node_range
+from ..metadata.geometry import pages_for_size, span_for_pages
 from ..metadata.node import LeafNode, NodeKey, NodeRef, PageDescriptor, TreeNode
 from ..metadata.read_plan import (
+    FrontierWalker,
     ReadPlanResult,
     adrive_plan,
     multi_range_read_plan,
@@ -137,9 +140,11 @@ class ReadStats:
     #: Batched metadata round trips of the tree traversal: one per frontier
     #: with at least one cache miss, i.e. at most O(log pages) — and zero
     #: for a fully cached traversal.  Compare ``metadata_nodes_fetched``,
-    #: which counts individual nodes and is unchanged by batching.  The
-    #: pipelined event-loop traversal preserves the count: its per-bucket
-    #: fetch tasks of one tree level still constitute one logical round.
+    #: which counts individual nodes and is unchanged by batching.  Each
+    #: counted trip is exactly one ``DHT.multi_get`` call, on either
+    #: runtime.  With speculation on, a level served by consumed
+    #: predictions counts its trip too (they were that level's fetch); the
+    #: prediction calls themselves show only in ``speculative_*``.
     metadata_round_trips: int = 0
     #: Batched data round trips: one multi-page fetch per provider touched,
     #: i.e. O(providers), not O(pages) — compare ``pages_fetched``, which
@@ -172,9 +177,9 @@ class ReadStats:
     #: redundancy behind them — callers can alert or trigger a repair pass.
     degraded: int = 0
     #: Speculatively prefetched metadata nodes this read actually consumed:
-    #: the pipelined descent predicted them as level-N+1 children of a
-    #: missed ref BEFORE the parent resolved, and the authoritative parent
-    #: then confirmed the prediction (DESIGN.md §9).  Consumed predictions
+    #: the level walk predicted them as level-N+1 children of a missed ref
+    #: BEFORE the parent's level resolved, and the authoritative parent then
+    #: confirmed the prediction (DESIGN.md §9).  Consumed predictions
     #: still count in ``metadata_nodes_fetched`` — they did travel from the
     #: DHT — so speculation never changes that counter, only when the
     #: fetch was issued.  Always 0 with ``speculative_prefetch`` off, under
@@ -215,15 +220,17 @@ class _PendingStore:
 class _Speculation:
     """Per-read state of the speculative frontier prefetch (DESIGN.md §9).
 
-    ``tasks`` maps each predicted :class:`NodeKey` to the in-flight
-    miss-tolerant multi-get that covers it (one handle serves a whole
-    prediction batch; ``slot`` is the key's position in it).  ``seen``
-    dedupes — a key is predicted at most once per read, bounding waste.
-    ``handles`` keeps every issued handle so leftovers can be drained
-    before the read returns (an abandoned task would leak a pending
-    coroutine into the loop).
+    ``predictor`` is a walker over the read's ranges that guesses child
+    refs from geometry alone.  ``tasks`` maps each predicted
+    :class:`NodeKey` to the in-flight miss-tolerant multi-get that covers
+    it (one handle serves a whole prediction batch; ``slot`` is the key's
+    position in it).  ``seen`` dedupes — a key is predicted at most once
+    per read, bounding waste.  ``handles`` keeps every issued handle so
+    leftovers can be drained before the read returns (an abandoned task
+    would leak a pending coroutine into the loop).
     """
 
+    predictor: FrontierWalker
     hits: int = 0
     predicted: int = 0
     tasks: dict[NodeKey, tuple[Handle, int]] = field(default_factory=dict)
@@ -246,7 +253,7 @@ class AsyncBlobStore:
     runtime:
         The :class:`~repro.aio.IORuntime` executing the store's batched
         I/O.  Defaults to :class:`~repro.aio.AsyncRuntime` (event-loop
-        mode: pipelined reads, overlapped writes, loop-parked SYNC).  The
+        mode: interleaved reads, overlapped writes, loop-parked SYNC).  The
         sync bridge injects a :class:`~repro.aio.SyncRuntime` instead.
     peer_group:
         Optional :class:`~repro.cache.PeerCacheGroup` of co-located
@@ -518,13 +525,13 @@ class AsyncBlobStore:
         page_offset, page_count = covering_page_range(offset, size, page_size)
         tree_span = span_for_pages(pages_for_size(snapshot_size, page_size))
         tally = CacheTally()
-        # Speculation needs the pipelined descent (there is nothing to
-        # overlap level-by-level) and is opt-in; peer probing needs an
-        # attached group.  Both gates leave the default read path intact.
+        # Speculation is opt-in and needs a runtime whose background fetch
+        # can overlap the awaited one; peer probing needs an attached group.
+        # Both gates leave the default read path intact.
         spec = (
-            _Speculation()
+            _Speculation(plan_walker(version, tree_span, [(page_offset, page_count)]))
             if self._cluster.config.feature_enabled("speculative_prefetch")
-            and self._runtime.pipelined
+            and self._runtime.concurrent
             else None
         )
         peer_tally = CacheTally() if self._peers is not None else None
@@ -1109,18 +1116,21 @@ class AsyncBlobStore:
         spec: _Speculation | None = None,
         peer_tally: CacheTally | None = None,
     ) -> ReadPlanResult:
-        if self._runtime.pipelined:
-            walker = plan_walker(version, span, [(page_offset, page_count)])
-            return await self._pipelined_walk(
-                record, walker, tally, spec=spec, peer_tally=peer_tally
-            )
         plan = read_plan(version, span, page_offset, page_count)
-        return await adrive_plan(
-            plan,
-            lambda refs: self._fetch_frontier(
-                record, refs, tally, peer_tally=peer_tally
-            ),
-        )
+        try:
+            return await adrive_plan(
+                plan,
+                lambda refs: self._fetch_frontier(
+                    record, refs, tally, peer_tally=peer_tally, spec=spec
+                ),
+            )
+        finally:
+            if spec is not None:
+                # Leftover predictions (the last level's, and those the
+                # parents pruned) must not outlive the read; their results
+                # are dropped — wasted speculation never enters the cache.
+                for handle in spec.handles:
+                    await handle.result()
 
     async def _resolve_ranges(
         self,
@@ -1133,9 +1143,6 @@ class AsyncBlobStore:
         # Write-path border reads: no speculation, no peer probes — border
         # resolution is tiny (two boundary paths) and must stay identical
         # across runtimes and toggles.
-        if self._runtime.pipelined:
-            walker = plan_walker(version, span, page_ranges)
-            return await self._pipelined_walk(record, walker, tally)
         plan = multi_range_read_plan(version, span, page_ranges)
         return await adrive_plan(
             plan, lambda refs: self._fetch_frontier(record, refs, tally)
@@ -1147,6 +1154,7 @@ class AsyncBlobStore:
         refs: list[NodeRef],
         tally: CacheTally | None = None,
         peer_tally: CacheTally | None = None,
+        spec: _Speculation | None = None,
     ) -> list[TreeNode]:
         """Resolve one frontier of node fetches, branch lineage included.
 
@@ -1155,11 +1163,11 @@ class AsyncBlobStore:
         enters the batch (tree nodes are immutable, so a cached copy is
         always valid), and a frontier of pure hits costs zero round trips.
         With a peer group attached, the remaining misses then probe the
-        co-located peers' caches (identically to the pipelined walk, so the
-        two runtimes keep identical counters); only what the peers miss too
-        travels in one bucket-grouped multi-get and is inserted into the
-        cache on the way back — a frontier fully served by peers costs
-        zero round trips as well.
+        co-located peers' caches; only what the peers miss too travels in
+        one bucket-grouped multi-get and is inserted into the cache on the
+        way back — a frontier fully served by peers costs zero round trips
+        as well.  With a ``spec`` state, the misses first go through
+        :meth:`_speculate`, and only what it could not serve is fetched.
         """
         keys = [
             NodeKey(
@@ -1173,15 +1181,89 @@ class AsyncBlobStore:
             miss_indices = self._peer_fill_nodes(
                 cache_keys, miss_indices, nodes, peer_tally
             )
-        if miss_indices:
-            with span("meta.fetch", nodes=len(miss_indices)):
-                fetched = await self._meta.get_nodes_async(
-                    [keys[index] for index in miss_indices], self._runtime
-                )
-            complete_frontier(
-                self._cache, cache_keys, miss_indices, fetched, nodes, tally
+        if not miss_indices:
+            return nodes
+        pending = miss_indices
+        if spec is not None:
+            pending = await self._speculate(
+                record, refs, keys, miss_indices, nodes, spec
             )
+        if pending:
+            with span("meta.fetch", nodes=len(pending)):
+                fetched = await self._meta.get_nodes_async(
+                    [keys[index] for index in pending], self._runtime
+                )
+            for index, node in zip(pending, fetched):
+                nodes[index] = node
+        complete_frontier(
+            self._cache,
+            cache_keys,
+            miss_indices,
+            [nodes[index] for index in miss_indices],
+            nodes,
+            tally,
+        )
         return nodes
+
+    async def _speculate(
+        self,
+        record: BlobRecord,
+        refs: list[NodeRef],
+        keys: list[NodeKey],
+        miss_indices: list[int],
+        nodes: list,
+        spec: _Speculation,
+    ) -> list[int]:
+        """One level of the speculative frontier prefetch (DESIGN.md §9).
+
+        First, BEFORE anything of this level is awaited, the misses' wanted
+        child spans are predicted from geometry alone at the parent ref's
+        version (:meth:`~repro.metadata.read_plan.FrontierWalker.predicted_children`)
+        and issued as one miss-tolerant background multi-get — that head
+        start is the entire win.  Then the misses that an earlier level
+        predicted consume their prediction instead of a fresh fetch: a
+        landed node fills ``nodes`` in place, a ``None`` slot (wrong
+        version guess) falls back to the level's normal fetch.  Returns the
+        indices still to fetch.  The caller tallies the level's fetch and
+        trip exactly as without speculation — a consumed prediction IS the
+        level's fetch — so only ``speculative_*`` counters differ.
+        """
+        predictions: list[NodeKey] = []
+        for index in miss_indices:
+            for child in spec.predictor.predicted_children(refs[index]):
+                key = NodeKey(
+                    resolve_owner(record, child.version),
+                    child.version,
+                    child.offset,
+                    child.size,
+                )
+                if key not in spec.seen:
+                    spec.seen.add(key)
+                    predictions.append(key)
+        if predictions:
+            spec.predicted += len(predictions)
+            handle = self._runtime.start(self._speculative_fetch(predictions))
+            spec.handles.append(handle)
+            for slot, key in enumerate(predictions):
+                spec.tasks[key] = (handle, slot)
+        pending: list[int] = []
+        with span("meta.consume_spec", nodes=len(miss_indices)):
+            for index in miss_indices:
+                entry = spec.tasks.pop(keys[index], None)
+                node = None
+                if entry is not None:
+                    handle, slot = entry
+                    node = (await handle.result())[slot]
+                if node is None:
+                    pending.append(index)
+                else:
+                    nodes[index] = node
+                    spec.hits += 1
+        return pending
+
+    async def _speculative_fetch(self, keys: list[NodeKey]) -> list:
+        with span("meta.speculate", nodes=len(keys)):
+            return await self._meta.try_get_nodes_async(keys, self._runtime)
 
     def _peer_fill_nodes(
         self,
@@ -1213,236 +1295,6 @@ class AsyncBlobStore:
         if served and self._cache is not None:
             self._cache.put_many(served)
         return remaining
-
-    async def _pipelined_walk(
-        self,
-        record: BlobRecord,
-        walker,
-        tally: CacheTally | None = None,
-        spec: _Speculation | None = None,
-        peer_tally: CacheTally | None = None,
-    ) -> ReadPlanResult:
-        """Event-loop metadata descent: level N+1 starts before level N ends.
-
-        Each frontier's cache misses are grouped by primary DHT bucket
-        (:meth:`~repro.metadata.metadata_provider.MetadataProvider.bucket_groups`)
-        and fetched as independent tasks; every group expands its children
-        and recurses the moment its own fetch lands, so a slow bucket delays
-        only its own subtree.  Cache hits expand immediately without waiting
-        for any fetch at all.
-
-        The trip accounting is defined to match the level-by-level driver
-        exactly: a tree level with at least one cache miss counts as ONE
-        metadata round trip no matter how many per-bucket tasks fanned out
-        (the sync driver issues those same per-bucket sub-batches inside one
-        ``multi_get``), and hit/fetched tallies are per-node sums that do
-        not depend on resolution order.
-
-        With a ``spec`` state, the walk additionally runs the *speculative
-        frontier prefetch* (DESIGN.md §9): the moment a level's misses are
-        known — BEFORE their fetch resolves — their wanted level-N+1 child
-        spans are predicted from geometry alone at the parent ref's version
-        (:meth:`~repro.metadata.read_plan.FrontierWalker.predicted_children`)
-        and issued as one miss-tolerant background multi-get.  When the
-        authoritative parent later confirms a predicted child as a real
-        miss, the already-in-flight result is consumed instead of starting
-        a fresh fetch, collapsing two levels of descent into one round-trip
-        latency.  Mispredictions surface as ``None`` slots and fall back to
-        the normal fetch path; leftover predictions are drained before
-        returning and never enter the node cache.  The trip/fetch tallies
-        are computed exactly as without speculation — a consumed prediction
-        IS the level's fetch — so only ``speculative_*`` counters differ.
-        """
-        runtime = self._runtime
-        levels: set[int] = set()
-        miss_levels: set[int] = set()
-
-        def issue_predictions(missed_refs: list[NodeRef]) -> None:
-            predictions: list[NodeKey] = []
-            for ref in missed_refs:
-                for child in walker.predicted_children(ref):
-                    key = NodeKey(
-                        resolve_owner(record, child.version),
-                        child.version,
-                        child.offset,
-                        child.size,
-                    )
-                    if key in spec.seen:
-                        continue
-                    spec.seen.add(key)
-                    predictions.append(key)
-            if not predictions:
-                return
-            spec.predicted += len(predictions)
-
-            async def speculative_fetch(keys: list[NodeKey]):
-                with span("meta.speculate", nodes=len(keys)):
-                    return await self._meta.try_get_nodes_async(keys, runtime)
-
-            handle = runtime.start(speculative_fetch(predictions))
-            spec.handles.append(handle)
-            for slot, key in enumerate(predictions):
-                spec.tasks[key] = (handle, slot)
-
-        async def resolve(refs: list[NodeRef], level: int) -> None:
-            levels.add(level)
-            for ref in refs:
-                validate_node_range(ref.offset, ref.size)
-            keys = [
-                NodeKey(
-                    resolve_owner(record, ref.version),
-                    ref.version,
-                    ref.offset,
-                    ref.size,
-                )
-                for ref in refs
-            ]
-            cache_keys = [self._cluster.node_cache_key(key) for key in keys]
-            nodes, miss_indices = split_frontier(self._cache, cache_keys, tally)
-            if miss_indices and peer_tally is not None:
-                miss_indices = self._peer_fill_nodes(
-                    cache_keys, miss_indices, nodes, peer_tally
-                )
-            walker.note_fetched(len(refs))
-            if spec is not None and miss_indices:
-                # Predict the misses' children NOW, before any fetch of this
-                # level resolves — that head start is the entire win.
-                issue_predictions([refs[index] for index in miss_indices])
-            children: list[NodeRef] = []
-            for ref, node in zip(refs, nodes):
-                if node is not None:
-                    children.extend(walker.expand(ref, node))
-            branches = []
-            if miss_indices:
-                miss_levels.add(level)
-                spec_positions: list[int] = []
-                spec_entries: list[tuple[Handle, int]] = []
-                normal: list[int] = []
-                for index in miss_indices:
-                    entry = (
-                        spec.tasks.pop(keys[index], None)
-                        if spec is not None
-                        else None
-                    )
-                    if entry is None:
-                        normal.append(index)
-                    else:
-                        spec_positions.append(index)
-                        spec_entries.append(entry)
-                if normal:
-                    for group in self._meta.bucket_groups(
-                        [keys[index] for index in normal]
-                    ):
-                        positions = [normal[g] for g in group]
-                        branches.append(
-                            fetch_group(refs, keys, cache_keys, positions, level)
-                        )
-                if spec_positions:
-                    branches.append(
-                        consume_spec(
-                            refs, keys, cache_keys,
-                            spec_positions, spec_entries, level,
-                        )
-                    )
-            if children:
-                branches.append(resolve(children, level + 1))
-            if branches:
-                await runtime.gather(*branches)
-
-        async def fetch_group(
-            refs: list[NodeRef],
-            keys: list[NodeKey],
-            cache_keys: list,
-            positions: list[int],
-            level: int,
-        ) -> None:
-            with span("meta.fetch", level=level, nodes=len(positions)):
-                fetched = await self._meta.get_nodes_async(
-                    [keys[position] for position in positions], runtime
-                )
-            if self._cache is not None:
-                self._cache.put_many(
-                    [
-                        (cache_keys[position], node)
-                        for position, node in zip(positions, fetched)
-                    ]
-                )
-            if tally is not None:
-                tally.fetched += len(positions)
-            children: list[NodeRef] = []
-            for position, node in zip(positions, fetched):
-                children.extend(walker.expand(refs[position], node))
-            if children:
-                await resolve(children, level + 1)
-
-        async def consume_spec(
-            refs: list[NodeRef],
-            keys: list[NodeKey],
-            cache_keys: list,
-            positions: list[int],
-            entries: list[tuple[Handle, int]],
-            level: int,
-        ) -> None:
-            """Reconcile confirmed misses against their in-flight
-            predictions: a landed prediction is this level's fetch (cached,
-            tallied, expanded exactly like ``fetch_group``'s results); a
-            ``None`` slot was a misprediction and re-fetches normally."""
-            landed_positions: list[int] = []
-            landed_nodes: list[TreeNode] = []
-            fallback: list[int] = []
-            with span("meta.consume_spec", level=level, nodes=len(positions)):
-                for position, (handle, slot) in zip(positions, entries):
-                    batch = await handle.result()
-                    node = batch[slot]
-                    if node is None:
-                        fallback.append(position)
-                    else:
-                        landed_positions.append(position)
-                        landed_nodes.append(node)
-            if landed_positions:
-                spec.hits += len(landed_positions)
-                if self._cache is not None:
-                    self._cache.put_many(
-                        [
-                            (cache_keys[position], node)
-                            for position, node in zip(
-                                landed_positions, landed_nodes
-                            )
-                        ]
-                    )
-                if tally is not None:
-                    tally.fetched += len(landed_positions)
-            children: list[NodeRef] = []
-            for position, node in zip(landed_positions, landed_nodes):
-                children.extend(walker.expand(refs[position], node))
-            branches = []
-            if fallback:
-                for group in self._meta.bucket_groups(
-                    [keys[index] for index in fallback]
-                ):
-                    positions2 = [fallback[g] for g in group]
-                    branches.append(
-                        fetch_group(refs, keys, cache_keys, positions2, level)
-                    )
-            if children:
-                branches.append(resolve(children, level + 1))
-            if branches:
-                await runtime.gather(*branches)
-
-        roots = walker.root_refs()
-        if roots:
-            await resolve(roots, 0)
-        if spec is not None:
-            # Drain leftover predictions: the last wave's unconsumed tasks
-            # must not outlive the read (they would warn as never-awaited
-            # work on the loop).  Their results are dropped on the floor —
-            # wasted speculation never touches the node cache.
-            for handle in spec.handles:
-                await handle.result()
-        if tally is not None:
-            tally.trips += len(miss_levels)
-        walker.result.round_trips = len(levels)
-        return walker.result
 
     # ----------------------------------------------------------- cache plumbing
     def _cache_put_items(self, items: list[tuple[NodeKey, TreeNode]]) -> None:

@@ -15,11 +15,11 @@ every operation delegates to the one async client core,
 loop, a task, or a parked thread.  Planning, caching, replication, retry and
 trip accounting exist exactly once, in the async core; this module only
 supplies the synchronous calling convention (plus the legacy ``parallel_io``
-thread pool, which lives on the runtime).  Under the sync runtime the core
-keeps the strict level-by-level metadata traversal and the
-store-then-publish write order, so behaviour, timing and every ``*_ex``
-counter are bit-for-bit what they were before the redesign; the pipelined
-traversal and the store/publish overlap switch on only under
+thread pool, which lives on the runtime).  Both runtimes share the one
+level-by-level metadata traversal; under the sync runtime the core also
+keeps the store-then-publish write order, so behaviour, timing and every
+``*_ex`` counter are bit-for-bit what they were before the redesign.  The
+store/publish overlap and speculative prefetch switch on only under
 :class:`~repro.aio.AsyncRuntime` (see :mod:`repro.core.async_store`).
 
 Write path (Algorithm 2): pages are stored on data providers chosen by the

@@ -352,18 +352,6 @@ class DHT:
             pending = retry
         return values, unavailable
 
-    def primary_groups(self, keys: list[str]) -> list[list[int]]:
-        """Group key positions by primary replica bucket, preserving order.
-
-        The pipelined metadata traversal uses this to fan one frontier out
-        as one independent fetch task per bucket, so a slow bucket no
-        longer gates the expansion of every other bucket's children.
-        """
-        by_bucket: dict[str, list[int]] = {}
-        for index, key in enumerate(keys):
-            by_bucket.setdefault(self.buckets_for(key)[0], []).append(index)
-        return list(by_bucket.values())
-
     def contains(self, key: str) -> bool:
         for bucket_id in self.buckets_for(key):
             try:

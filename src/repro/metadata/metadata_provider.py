@@ -139,12 +139,6 @@ class MetadataProvider:
                 nodes.append(None)
         return nodes
 
-    def bucket_groups(self, keys: list[NodeKey]) -> list[list[int]]:
-        """Key positions grouped by primary DHT bucket (placement stays in
-        the provider); the pipelined traversal fetches each group as its own
-        task so one slow bucket never gates the others' subtree descent."""
-        return self._dht.primary_groups([key.to_string() for key in keys])
-
     def _as_node(self, key: NodeKey, value: object) -> TreeNode:
         if isinstance(value, bytes):
             return decode_node(value)

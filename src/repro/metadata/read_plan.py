@@ -23,8 +23,9 @@ update without traversing the metadata in between).
 
 Drivers:
 
-* the threaded client calls :func:`drive_plan` with a batched ``fetch_many``
-  function that performs one grouped DHT multi-get per frontier;
+* the client (:class:`~repro.core.async_store.AsyncBlobStore`, under either
+  runtime) calls :func:`adrive_plan` with a batched async ``fetch_many``
+  that performs one grouped DHT multi-get per frontier;
 * the discrete-event simulator advances the same generator, charging one
   (parallel) network round trip per frontier.
 
@@ -117,19 +118,16 @@ def multi_range_read_plan(
 
 
 class FrontierWalker:
-    """Incremental expansion core shared by the level-order generator and
-    the event-loop pipelined traversal.
+    """Expansion core of the level-order generator.
 
     Holds the pure decision logic of Algorithm 3 — which children of a
     fetched node the requested ranges still want, leaf-descriptor
     collection, traversal accounting — WITHOUT any notion of when fetches
     happen.  The generator (:func:`_frontier_walk`) expands one whole level
-    at a time; the pipelined driver in
-    :class:`~repro.core.async_store.AsyncBlobStore` expands each
-    bucket-group of nodes the moment its fetch lands, while sibling groups
-    of the same level are still in flight.  Both observe the same node set,
-    because expansion depends only on the node's own content, never on the
-    order siblings resolve in.
+    at a time.  Speculative prefetch (the client's and the simulator's)
+    keeps a second walker over the same ranges as a predictor: its
+    :meth:`predicted_children` guesses the next level before the current
+    one has resolved.
     """
 
     def __init__(
@@ -151,10 +149,6 @@ class FrontierWalker:
             intersects(offset, size, page_offset, page_count)
             for page_offset, page_count in self._ranges
         )
-
-    def note_fetched(self, count: int) -> None:
-        """Account *count* nodes that arrived from a resolved fetch."""
-        self.result.nodes_fetched += count
 
     def expand(self, ref: NodeRef, node: TreeNode) -> list[NodeRef]:
         """Consume one fetched node: collect its descriptor (leaf) or
@@ -225,8 +219,8 @@ class FrontierWalker:
 def plan_walker(
     root_version: int, span: int, ranges: Sequence[tuple[int, int]]
 ) -> FrontierWalker:
-    """A validated :class:`FrontierWalker` for *ranges* — the entry point of
-    the pipelined traversal, enforcing exactly the range checks
+    """A validated :class:`FrontierWalker` for *ranges* — the speculation
+    predictor's entry point, enforcing exactly the range checks
     :func:`multi_range_read_plan` applies before its first frontier."""
     active = [(offset, count) for offset, count in ranges if count > 0]
     if active:
@@ -254,7 +248,7 @@ def _frontier_walk(
             validate_node_range(ref.offset, ref.size)
         nodes = yield Frontier(tuple(frontier))
         walker.result.round_trips += 1
-        walker.note_fetched(len(frontier))
+        walker.result.nodes_fetched += len(frontier)
         next_frontier: list[NodeRef] = []
         for ref, node in zip(frontier, nodes):
             next_frontier.extend(walker.expand(ref, node))
@@ -310,9 +304,9 @@ async def adrive_plan(plan: Generator, fetch_many):
 
     Resolves the plan strictly level by level (one awaited fetch per
     frontier) — the traversal order, node set and round-trip accounting are
-    identical to the sync driver's, which is what the sync bridge relies on
-    for bit-identical trip counters.  The pipelined event-loop traversal
-    lives in the client (it needs placement grouping), not here.
+    identical to the sync driver's.  This is the client's only metadata
+    traversal: both runtimes drive every read and border resolution
+    through it, so one tree level costs one batched DHT round on either.
     """
     try:
         request = next(plan)

@@ -13,7 +13,8 @@ module-level :func:`span` helper, which reads the current span from a
   nothing — components need no tracer reference and no config check;
 * under :class:`~repro.aio.AsyncRuntime`, ``asyncio`` copies the context
   into every Task at creation, so spans opened inside ``runtime.start``
-  / ``runtime.gather`` branches parent correctly across task boundaries;
+  Tasks and gathered retrying jobs parent correctly across task
+  boundaries;
 * under :class:`~repro.aio.SyncRuntime` everything runs inline in the
   caller's context, so the same instrumentation works unchanged through
   the :func:`~repro.aio.run_sync` bridge.

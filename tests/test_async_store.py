@@ -6,7 +6,7 @@ No pytest-asyncio in the toolchain: every async scenario runs through
 library never requires a particular test harness.
 
 The headline property: :class:`AsyncBlobStore` (event-loop runtime,
-pipelined reads, overlapped writes) and :class:`BlobStore` (loop-free sync
+interleaved reads, overlapped writes) and :class:`BlobStore` (loop-free sync
 bridge) produce byte-for-byte identical data AND field-for-field identical
 ``ReadStats`` / ``WriteResult`` trip counters across random operation
 histories — one code path, two execution modes, same observable behaviour.
@@ -29,8 +29,11 @@ from repro import (
     StoreClosedError,
     VersionNotPublishedError,
 )
-from repro.aio import AsyncRuntime, SyncRuntime, run_sync
+from repro.aio import AsyncRuntime, SyncRuntime, dispatch_jobs, run_sync
 from repro.cache import NodeCache, PageCache
+from repro.dht import DHT
+from repro.errors import ProviderUnavailableError
+from repro.fault import RetryPolicy
 
 from .conftest import TEST_PAGE_SIZE, make_payload
 
@@ -397,8 +400,8 @@ class TestAsyncSyncEquivalence:
 
     def test_cold_read_counters_match_exactly(self):
         """Deterministic spot check (no hypothesis): a cold multi-level read
-        through the pipelined traversal reports the same nodes_fetched and
-        round-trip counts as the strict level-by-level sync walk."""
+        under the event loop reports the same nodes_fetched and round-trip
+        counts as the sync bridge."""
         payload = make_payload(16 * TEST_PAGE_SIZE, seed=9)
 
         def sync_stats():
@@ -424,6 +427,53 @@ class TestAsyncSyncEquivalence:
         assert async_data == sync_data == payload
         assert async_read == sync_read
         assert sync_read.metadata_round_trips >= 3  # genuinely multi-level
+
+
+    def test_reported_trips_are_real_dht_calls(self, monkeypatch):
+        """Counter honesty: every reported metadata round trip of a cold
+        multi-level read is exactly one ``DHT.multi_get_async`` call, under
+        the event loop and through the sync bridge alike — the async walk
+        batches each tree level instead of fanning it out per bucket."""
+        payload = make_payload(32 * TEST_PAGE_SIZE, seed=12)
+        calls = 0
+        original = DHT.multi_get_async
+
+        async def counting_multi_get(self, keys, runtime):
+            nonlocal calls
+            calls += 1
+            return await original(self, keys, runtime)
+
+        monkeypatch.setattr(DHT, "multi_get_async", counting_multi_get)
+
+        def sync_read():
+            nonlocal calls
+            store = BlobStore(
+                small_cluster(), cache_metadata=False, cache_pages=False
+            )
+            blob_id = store.create()
+            version = store.write(blob_id, payload, 0)
+            store.sync(blob_id, version)
+            calls = 0
+            _data, stats = store.read_ex(blob_id, version, 0, len(payload))
+            return calls, stats
+
+        async def async_read():
+            nonlocal calls
+            store = AsyncBlobStore(
+                small_cluster(), cache_metadata=False, cache_pages=False
+            )
+            blob_id = await store.create()
+            version = await store.write(blob_id, payload, 0)
+            await store.sync(blob_id, version)
+            calls = 0
+            _data, stats = await store.read_ex(blob_id, version, 0, len(payload))
+            return calls, stats
+
+        sync_calls, sync_stats = sync_read()
+        async_calls, async_stats = asyncio.run(async_read())
+        assert async_stats.metadata_round_trips >= 5  # genuinely multi-level
+        assert async_calls == async_stats.metadata_round_trips
+        assert async_calls == sync_calls == sync_stats.metadata_round_trips
 
 
 class TestEventLoopConcurrency:
@@ -511,10 +561,84 @@ class TestRuntimeSeam:
     def test_sync_bridge_uses_sync_runtime(self):
         store = BlobStore(small_cluster())
         assert isinstance(store._runtime, SyncRuntime)
-        assert not store._runtime.pipelined
+        assert not store._runtime.concurrent
         assert isinstance(store._engine, AsyncBlobStore)
 
     def test_async_store_defaults_to_event_loop_runtime(self):
         store = AsyncBlobStore(small_cluster())
         assert isinstance(store._runtime, AsyncRuntime)
-        assert store._runtime.pipelined
+        assert store._runtime.concurrent
+
+
+class TestAsyncRunBatches:
+    def test_jobs_without_retry_run_inline_without_tasks(self):
+        """Jobs that cannot suspend run one after another inside the
+        caller's coroutine: a batch creates no Task per backend job."""
+        order: list[str] = []
+
+        def make_attempt(endpoint_id, batch):
+            def attempt():
+                order.append(endpoint_id)
+                return batch * 10
+
+            return attempt
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            created = 0
+
+            def counting_factory(loop, coro, **kwargs):
+                nonlocal created
+                created += 1
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            loop.set_task_factory(counting_factory)
+            try:
+                outcomes = await dispatch_jobs(
+                    AsyncRuntime(),
+                    [("a", 1), ("b", 2), ("c", 3)],
+                    make_attempt,
+                    retry=RetryPolicy(),  # attempts=1: a no-op policy
+                )
+            finally:
+                loop.set_task_factory(None)
+            return outcomes, created
+
+        outcomes, created = asyncio.run(scenario())
+        assert outcomes == [10, 20, 30]
+        assert order == ["a", "b", "c"]
+        assert created == 0
+
+    def test_retry_backoffs_of_one_batch_overlap(self):
+        """With a retrying policy the jobs may park in backoff, so they are
+        gathered: two buckets failing transiently once cost about ONE
+        backoff delay on the loop, not two."""
+        delay = 0.2
+        failed: set[str] = set()
+
+        def make_attempt(endpoint_id, batch):
+            def attempt():
+                if endpoint_id not in failed:
+                    failed.add(endpoint_id)
+                    raise ProviderUnavailableError(endpoint_id)
+                return batch
+
+            return attempt
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            outcomes = await dispatch_jobs(
+                AsyncRuntime(),
+                [("bucket-0", "x"), ("bucket-1", "y")],
+                make_attempt,
+                retry=RetryPolicy(
+                    attempts=2, backoff_base=delay, backoff_max=delay, jitter=0
+                ),
+            )
+            return outcomes, loop.time() - started
+
+        outcomes, elapsed = asyncio.run(scenario())
+        assert outcomes == ["x", "y"]
+        assert failed == {"bucket-0", "bucket-1"}
+        assert delay <= elapsed < 1.5 * delay
